@@ -5,7 +5,8 @@
 // AMbER answers SPARQL SELECT/WHERE queries by representing the RDF data
 // as a directed, vertex-attributed multigraph, indexing it offline with
 // three structures (an attribute inverted index, an R-tree of vertex
-// signature synopses, and per-vertex neighbourhood tries), and reducing
+// signature synopses, and a neighbourhood index that stores the inverted
+// lists of the paper's per-vertex OTIL tries flat), and reducing
 // query answering to sub-multigraph homomorphism search.
 //
 // Typical use:

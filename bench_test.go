@@ -356,43 +356,63 @@ func BenchmarkAblation_SIndexInsert(b *testing.B) {
 }
 
 // BenchmarkAblation_OTIL compares the neighbourhood index's two lookup
-// strategies: inverted-list intersection vs trie walk.
-func buildAblationTrie() (*otil.Trie, [][]dict.EdgeType) {
-	var tr otil.Trie
-	var queries [][]dict.EdgeType
-	for v := dict.VertexID(0); v < 3000; v++ {
-		a := dict.EdgeType(v % 13)
-		bt := dict.EdgeType((v * 7) % 13)
-		if a == bt {
-			bt = (bt + 1) % 13
-		}
-		if a > bt {
-			a, bt = bt, a
-		}
-		tr.Insert([]dict.EdgeType{a, bt}, v)
-		if v%100 == 0 {
-			queries = append(queries, []dict.EdgeType{a, bt})
+// strategies on the same outgoing-side probes of the LUBM graph: the flat
+// inverted lists of index.NeighborhoodIndex (what the engine probes) vs a
+// walk of the paper's per-vertex OTIL trie (the otil reference).
+
+// otilProbe is one N probe: a vertex and a sorted multi-edge.
+type otilProbe struct {
+	v     dict.VertexID
+	types []dict.EdgeType
+}
+
+// ablationProbes draws every 50th vertex's outgoing multi-edges, and the
+// single types they carry, as probes, each with a non-empty answer.
+func ablationProbes(g *multigraph.Graph) []otilProbe {
+	var probes []otilProbe
+	for v := 0; v < g.NumVertices(); v += 50 {
+		for _, nb := range g.Out(dict.VertexID(v)) {
+			probes = append(probes, otilProbe{dict.VertexID(v), nb.Types})
+			if len(nb.Types) > 1 {
+				probes = append(probes, otilProbe{dict.VertexID(v), nb.Types[:1]})
+			}
 		}
 	}
-	tr.Finalize()
-	return &tr, queries
+	return probes
 }
 
 func BenchmarkAblation_OTILInvertedList(b *testing.B) {
-	tr, queries := buildAblationTrie()
+	g := dataset(b, "LUBM").Amber.Graph()
+	n := index.BuildNeighborhoodIndex(g)
+	probes := ablationProbes(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tr.Lookup(queries[i%len(queries)]); len(got) == 0 {
+		p := probes[i%len(probes)]
+		if got := n.Neighbors(p.v, index.Outgoing, p.types); len(got) == 0 {
 			b.Fatal("empty lookup")
 		}
 	}
 }
 
 func BenchmarkAblation_OTILTrieWalk(b *testing.B) {
-	tr, queries := buildAblationTrie()
+	g := dataset(b, "LUBM").Amber.Graph()
+	probes := ablationProbes(g)
+	// tries[i] is the trie of probes[i].v; consecutive probes share one.
+	tries := make([]*otil.Trie, len(probes))
+	for i, p := range probes {
+		if i > 0 && probes[i-1].v == p.v {
+			tries[i] = tries[i-1]
+			continue
+		}
+		tries[i] = new(otil.Trie)
+		for _, nb := range g.Out(p.v) {
+			tries[i].Insert(nb.Types, nb.V)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tr.LookupTrie(queries[i%len(queries)]); len(got) == 0 {
+		p := probes[i%len(probes)]
+		if got := tries[i%len(probes)].LookupTrie(p.types); len(got) == 0 {
 			b.Fatal("empty lookup")
 		}
 	}

@@ -37,7 +37,8 @@ type BuildStats struct {
 	DatabaseTime time.Duration
 	// IndexTime is the time to build I = {A, S, N}.
 	IndexTime time.Duration
-	// DatabaseBytes and IndexBytes are analytic size estimates.
+	// DatabaseBytes is an analytic size estimate of G. IndexBytes is
+	// exact for the postings of A and N and estimates the R-tree S.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
@@ -129,7 +130,7 @@ func finish(b *multigraph.Builder, start time.Time) (*Store, error) {
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(idxStart),
 			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(g, ix),
+			IndexBytes:    estimateIndexBytes(ix),
 		},
 	})
 	return s, nil
@@ -180,20 +181,12 @@ func estimateGraphBytes(g *multigraph.Graph) int64 {
 	return bytes
 }
 
-// estimateIndexBytes is an analytic size estimate of I = {A, S, N}.
-func estimateIndexBytes(g *multigraph.Graph, ix *index.Index) int64 {
-	var bytes int64
-	bytes += 4 * int64(ix.A.Entries())                             // A postings
-	bytes += int64(ix.S.Len()) * (multigraph.SynopsisFields*4 + 8) // S leaves
-	// N: one trie node + one posting per (vertex, neighbour, type), twice
-	// (N+ and N−).
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.Out(vid) {
-			bytes += 2 * (16 + 8*int64(len(nb.Types)))
-		}
-	}
-	return bytes
+// estimateIndexBytes sizes I = {A, S, N}: exact for N's posting arrays
+// and A's postings, an analytic estimate for the R-tree leaves of S.
+func estimateIndexBytes(ix *index.Index) int64 {
+	return 4*int64(ix.A.Entries()) + // A postings
+		int64(ix.S.Len())*(multigraph.SynopsisFields*4+8) + // S leaves
+		ix.N.Bytes()
 }
 
 // Save writes a binary snapshot of the merged data multigraph (base plus
@@ -246,7 +239,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 			DatabaseTime:  dbTime,
 			IndexTime:     time.Since(idxStart),
 			DatabaseBytes: estimateGraphBytes(g),
-			IndexBytes:    estimateIndexBytes(g, ix),
+			IndexBytes:    estimateIndexBytes(ix),
 		},
 	})
 	return s, nil

@@ -448,7 +448,7 @@ func (v *View) touchList(vid dict.VertexID, dir index.Direction) []dict.VertexID
 	return touch[:cut]
 }
 
-// Neighbors implements the N probe over the merged view: the base trie
+// Neighbors implements the N probe over the merged view: the base index
 // answer, re-verified for pairs the overlay touched, merged with
 // overlay-reachable neighbours that pass the same containment test.
 func (v *View) Neighbors(vid dict.VertexID, dir index.Direction, types []dict.EdgeType) []dict.VertexID {
@@ -525,34 +525,13 @@ func (v *View) VertexAttrs(vid dict.VertexID) []dict.AttrID {
 }
 
 // AttrCandidates returns the vertices carrying every attribute in attrs
-// under the merged view (CᴬU of Algorithm 1). Mirrors the base index's
+// under the merged view (CᴬU of Algorithm 1), by the base index's
 // rarest-first intersection; nil when attrs is empty.
 func (v *View) AttrCandidates(attrs []dict.AttrID) []dict.VertexID {
-	if len(attrs) == 0 {
-		return nil
-	}
 	if v.attrAdds == 0 && v.attrDels == 0 {
 		return v.sh.ix.A.Candidates(attrs)
 	}
-	lists := make([][]dict.VertexID, len(attrs))
-	for i, a := range attrs {
-		lst := v.attrVertices(a)
-		if len(lst) == 0 {
-			return nil
-		}
-		lists[i] = lst
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = intersectSorted(out, lst)
-		if len(out) == 0 {
-			return nil
-		}
-	}
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
+	return index.IntersectPostings(attrs, v.attrVertices)
 }
 
 // HasAttrs reports whether vid carries every attribute in want (sorted)
@@ -630,9 +609,9 @@ func (v *View) blendCardinalities(base *index.Cardinalities) *index.Cardinalitie
 	})
 	// A vertex counts once per (type, side); overlay gains that the base
 	// generation already counted (the vertex had a base edge of that type
-	// on that side) must not count again. The probe is one trie lookup
-	// per distinct gained (vertex, type) — bounded by the overlay size,
-	// which compaction keeps small.
+	// on that side) must not count again. The probe is one N posting-list
+	// lookup per distinct gained (vertex, type) — bounded by the overlay
+	// size, which compaction keeps small.
 	countGains := func(gain map[vertType]bool, dir index.Direction, counts []int) {
 		for key := range gain {
 			if int(key.v) < v.sh.baseNV && int(key.t) < v.sh.baseNT &&
@@ -1231,24 +1210,6 @@ func subtractSorted[T ~uint32](a, b []T) []T {
 			continue
 		}
 		out = append(out, x)
-	}
-	return out
-}
-
-// intersectSorted returns a ∩ b for sorted slices.
-func intersectSorted[T ~uint32](a, b []T) []T {
-	out := make([]T, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
 	}
 	return out
 }

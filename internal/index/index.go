@@ -1,12 +1,16 @@
 // Package index builds and serves the three offline index structures of the
 // AMbER paper (Section 4): the attribute inverted index A, the vertex
 // signature (synopsis) index S backed by an R-tree, and the vertex
-// neighbourhood index N backed by per-vertex OTIL tries for incoming (N+)
-// and outgoing (N−) edges. The ensemble I := {A, S, N} is what the online
-// matching procedure probes.
+// neighbourhood index N for incoming (N+) and outgoing (N−) edges. N stores
+// the inverted lists of the paper's per-vertex OTIL tries flat, in one
+// compressed-sparse-row layout per direction; the trie walk lives in
+// internal/otil as the reference the tests compare against. The ensemble
+// I := {A, S, N} is what the online matching procedure probes.
 package index
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -63,29 +67,44 @@ func (ai *AttributeIndex) Vertices(a dict.AttrID) []dict.VertexID {
 // Candidates returns CᴬU: the vertices carrying every attribute in attrs.
 // A nil attrs yields nil — callers only probe when attributes exist.
 func (ai *AttributeIndex) Candidates(attrs []dict.AttrID) []dict.VertexID {
-	if len(attrs) == 0 {
+	return IntersectPostings(attrs, ai.Vertices)
+}
+
+// IntersectPostings returns, sorted ascending, the vertices on every
+// posting list list(k) for k in keys, intersecting from the rarest list
+// outward. It is nil when keys or any of the lists is empty. A single key's
+// answer is the stored list itself, capped so that a caller's append
+// reallocates instead of overwriting the next stored list; like every
+// probe answer it must not be modified.
+//
+//amber:hotloop
+func IntersectPostings[K ~uint32](keys []K, list func(K) []dict.VertexID) []dict.VertexID {
+	switch len(keys) {
+	case 0:
 		return nil
-	}
-	// Intersect from the rarest list outward.
-	lists := make([][]dict.VertexID, len(attrs))
-	for i, a := range attrs {
-		lst := ai.Vertices(a)
+	case 1:
+		lst := list(keys[0])
 		if len(lst) == 0 {
 			return nil
 		}
-		lists[i] = lst
+		return lst[:len(lst):len(lst)]
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = otil.IntersectSorted(out, lst)
-		if len(out) == 0 {
+	lists := make([][]dict.VertexID, len(keys))
+	for i, k := range keys {
+		if lists[i] = list(k); len(lists[i]) == 0 {
 			return nil
 		}
 	}
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
+	slices.SortFunc(lists, func(a, b []dict.VertexID) int { return len(a) - len(b) })
+	// Two or more lists: the first intersection already allocates, so the
+	// answer never aliases a stored list.
+	out := lists[0]
+	for _, lst := range lists[1:] {
+		if out = otil.IntersectSorted(out, lst); len(out) == 0 {
+			return nil
+		}
+	}
+	return out
 }
 
 // Entries reports the total number of postings (for Table 5 size
@@ -132,29 +151,117 @@ func (si *SignatureIndex) Candidates(q multigraph.Synopsis) []dict.VertexID {
 // Len reports the number of indexed synopses.
 func (si *SignatureIndex) Len() int { return si.tree.Len() }
 
-// NeighborhoodIndex is N: per-vertex OTIL tries, split into N+ and N−
-// (Section 4.3).
+// NeighborhoodIndex is N (Section 4.3), split into N+ (incoming
+// multi-edges) and N− (outgoing). Every probe the engine makes is answered
+// by the inverted lists of the paper's per-vertex OTIL tries, so N stores
+// exactly those lists, flat, one posting layout per direction; the trie
+// walk itself lives in internal/otil as the reference implementation.
 type NeighborhoodIndex struct {
-	in  []otil.Trie // N+[v]: incoming multi-edges of v
-	out []otil.Trie // N−[v]: outgoing multi-edges of v
+	in  postings // N+
+	out postings // N−
 }
 
-// BuildNeighborhoodIndex constructs the tries from the graph adjacency.
+// postings is one direction of N in compressed-sparse-row form. Vertex
+// v's distinct edge types are types[vOff[v]:vOff[v+1]], sorted ascending;
+// the neighbours reached through types[i] are verts[lOff[i]:lOff[i+1]],
+// sorted ascending.
+type postings struct {
+	vOff  []uint32
+	types []dict.EdgeType
+	lOff  []uint32
+	verts []dict.VertexID
+}
+
+// BuildNeighborhoodIndex lays out both directions from the graph
+// adjacency.
 func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
+	return &NeighborhoodIndex{in: buildPostings(g, g.In), out: buildPostings(g, g.Out)}
+}
+
+// buildPostings makes two passes over one side of the adjacency: the
+// first sizes the arrays exactly, the second fills them. A vertex's
+// adjacency is sorted by neighbour id, so filling each type's list in
+// adjacency order leaves it sorted.
+func buildPostings(g *multigraph.Graph, adj func(dict.VertexID) []multigraph.Neighbor) postings {
 	n := g.NumVertices()
-	ni := &NeighborhoodIndex{in: make([]otil.Trie, n), out: make([]otil.Trie, n)}
+	// seen[t] == v+1 marks type t as already listed for vertex v; next[t]
+	// then counts, and later positions, t's postings of v.
+	seen := make([]int, g.NumEdgeTypes())
+	next := make([]uint32, g.NumEdgeTypes())
+	nTypes, nVerts := 0, 0
 	for v := 0; v < n; v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.In(vid) {
-			ni.in[v].Insert(nb.Types, nb.V)
+		for _, nb := range adj(dict.VertexID(v)) {
+			for _, t := range nb.Types {
+				if seen[t] != v+1 {
+					seen[t] = v + 1
+					nTypes++
+				}
+			}
+			nVerts += len(nb.Types)
 		}
-		for _, nb := range g.Out(vid) {
-			ni.out[v].Insert(nb.Types, nb.V)
-		}
-		ni.in[v].Finalize()
-		ni.out[v].Finalize()
 	}
-	return ni
+	if uint64(nVerts) > math.MaxUint32 {
+		panic("index: neighbourhood postings overflow uint32 offsets")
+	}
+	p := postings{
+		vOff:  make([]uint32, n+1),
+		types: make([]dict.EdgeType, 0, nTypes),
+		lOff:  make([]uint32, nTypes+1),
+		verts: make([]dict.VertexID, nVerts),
+	}
+	clear(seen)
+	for v := 0; v < n; v++ {
+		nbs := adj(dict.VertexID(v))
+		first := len(p.types)
+		for _, nb := range nbs {
+			for _, t := range nb.Types {
+				if seen[t] != v+1 {
+					seen[t] = v + 1
+					next[t] = 0
+					p.types = append(p.types, t)
+				}
+				next[t]++
+			}
+		}
+		slices.Sort(p.types[first:])
+		for i := first; i < len(p.types); i++ {
+			t := p.types[i]
+			p.lOff[i+1] = p.lOff[i] + next[t]
+			next[t] = p.lOff[i]
+		}
+		for _, nb := range nbs {
+			for _, t := range nb.Types {
+				p.verts[next[t]] = nb.V
+				next[t]++
+			}
+		}
+		p.vOff[v+1] = uint32(len(p.types))
+	}
+	return p
+}
+
+// list returns the neighbours of v reached through edge type t, a
+// sub-slice of verts; nil when v has no such edge.
+//
+//amber:hotloop
+func (p *postings) list(v dict.VertexID, t dict.EdgeType) []dict.VertexID {
+	lo := p.vOff[v]
+	i, ok := slices.BinarySearch(p.types[lo:p.vOff[v+1]], t)
+	if !ok {
+		return nil
+	}
+	i += int(lo)
+	return p.verts[p.lOff[i]:p.lOff[i+1]]
+}
+
+// Bytes reports the exact size of N's posting arrays (every element is a
+// 4-byte id or offset).
+func (ni *NeighborhoodIndex) Bytes() int64 {
+	var n int
+	for _, p := range []*postings{&ni.in, &ni.out} {
+		n += len(p.vOff) + len(p.types) + len(p.lOff) + len(p.verts)
+	}
+	return 4 * int64(n)
 }
 
 // Neighbors implements the paper's N probe: given matched data vertex v,
@@ -163,21 +270,25 @@ func BuildNeighborhoodIndex(g *multigraph.Graph) *NeighborhoodIndex {
 //	dir=Incoming: {v′ | (v′,v) ∈ E ∧ T′ ⊆ LE(v′,v)}
 //	dir=Outgoing: {v′ | (v,v′) ∈ E ∧ T′ ⊆ LE(v,v′)}
 //
-// sorted ascending.
+// sorted ascending. The answer may share N's arrays and must not be
+// modified.
+//
+//amber:hotloop
 func (ni *NeighborhoodIndex) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
-	if int(v) >= len(ni.in) {
+	p := &ni.out
+	if dir == Incoming {
+		p = &ni.in
+	}
+	if int(v)+1 >= len(p.vOff) {
 		return nil
 	}
-	if dir == Incoming {
-		return ni.in[v].Lookup(types)
-	}
-	return ni.out[v].Lookup(types)
+	return IntersectPostings(types, func(t dict.EdgeType) []dict.VertexID { return p.list(v, t) })
 }
 
 // Cardinalities are per-edge-type occurrence counts gathered while the
 // ensemble is built. They are the data statistics the cost-based query
 // planner (internal/plan) consumes: together with AttributeIndex list
-// lengths and neighbourhood-trie probes they let the planner estimate
+// lengths and neighbourhood-index probes they let the planner estimate
 // candidate-set sizes before any matching happens.
 type Cardinalities struct {
 	// OutVertices[t] and InVertices[t] count the vertices with at least
@@ -218,8 +329,10 @@ func (c *Cardinalities) Fanout(dir Direction, t dict.EdgeType) float64 {
 	return float64(c.Edges[t]) / float64(src)
 }
 
-// BuildCardinalities scans the adjacency once per direction.
-func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
+// BuildCardinalities reads the statistics off N: a vertex has an edge of
+// type t on one side iff t is among its types on that side, and the
+// outgoing postings of t are exactly the directed pairs carrying t.
+func BuildCardinalities(g *multigraph.Graph, n *NeighborhoodIndex) *Cardinalities {
 	nT := g.NumEdgeTypes()
 	c := &Cardinalities{
 		OutVertices: make([]int, nT),
@@ -227,32 +340,12 @@ func BuildCardinalities(g *multigraph.Graph) *Cardinalities {
 		Edges:       make([]int, nT),
 		NumVertices: g.NumVertices(),
 	}
-	// stamp[t] == v+1 marks that vertex v was already counted for type t,
-	// so multi-edges to distinct neighbours count the vertex only once.
-	stamp := make([]int, nT)
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, nb := range g.Out(dict.VertexID(v)) {
-			for _, t := range nb.Types {
-				c.Edges[t]++
-				if stamp[t] != v+1 {
-					stamp[t] = v + 1
-					c.OutVertices[t]++
-				}
-			}
-		}
+	for i, t := range n.out.types {
+		c.OutVertices[t]++
+		c.Edges[t] += int(n.out.lOff[i+1] - n.out.lOff[i])
 	}
-	for i := range stamp {
-		stamp[i] = 0
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, nb := range g.In(dict.VertexID(v)) {
-			for _, t := range nb.Types {
-				if stamp[t] != v+1 {
-					stamp[t] = v + 1
-					c.InVertices[t]++
-				}
-			}
-		}
+	for _, t := range n.in.types {
+		c.InVertices[t]++
 	}
 	return c
 }
@@ -308,7 +401,7 @@ func (r GraphReader) SignatureCandidates(q multigraph.Synopsis) []dict.VertexID 
 	return r.Ix.S.Candidates(q)
 }
 
-// Neighbors probes the OTIL tries N.
+// Neighbors probes the neighbourhood index N.
 func (r GraphReader) Neighbors(v dict.VertexID, dir Direction, types []dict.EdgeType) []dict.VertexID {
 	return r.Ix.N.Neighbors(v, dir, types)
 }
@@ -348,10 +441,11 @@ type Index struct {
 
 // Build constructs all three indexes and the planner statistics for g.
 func Build(g *multigraph.Graph) *Index {
+	n := BuildNeighborhoodIndex(g)
 	return &Index{
 		A:    BuildAttributeIndex(g),
 		S:    BuildSignatureIndex(g),
-		N:    BuildNeighborhoodIndex(g),
-		Card: BuildCardinalities(g),
+		N:    n,
+		Card: BuildCardinalities(g, n),
 	}
 }

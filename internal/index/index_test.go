@@ -1,11 +1,15 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
 	"repro/internal/multigraph"
+	"repro/internal/otil"
 	"repro/internal/rdf"
 )
 
@@ -213,54 +217,161 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-// TestNeighborsAgainstAdjacency cross-checks every N probe against the
-// graph's adjacency on a random graph.
+// TestNeighborsAgainstAdjacency checks every N probe shape on a random
+// graph against two references: brute force over the adjacency, and the
+// paper's OTIL trie (otil.Trie.LookupTrie) built from the same adjacency.
+// For every vertex and direction it probes each full multi-edge, each
+// single type, a random 2–3-type subset, and an edge type beyond the
+// dictionary (which the delta overlay can pass for a new predicate).
 func TestNeighborsAgainstAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	g := randomGraph(t, rng, 20, 6, 300)
+	ix := Build(g)
+	nT := dict.EdgeType(g.NumEdgeTypes())
+	probes := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		vid := dict.VertexID(v)
+		for _, side := range []struct {
+			dir Direction
+			adj []multigraph.Neighbor
+		}{{Incoming, g.In(vid)}, {Outgoing, g.Out(vid)}} {
+			var tr otil.Trie
+			var own []dict.EdgeType // distinct types on this side, sorted
+			for _, nb := range side.adj {
+				tr.Insert(nb.Types, nb.V)
+				own = append(own, nb.Types...)
+			}
+			slices.Sort(own)
+			own = slices.Compact(own)
+
+			queries := [][]dict.EdgeType{{nT}, {nT + 7}}
+			for _, nb := range side.adj {
+				queries = append(queries, nb.Types)
+			}
+			for _, et := range own {
+				queries = append(queries, []dict.EdgeType{et})
+			}
+			if len(own) >= 2 {
+				k := 2 + rng.Intn(2)
+				if k > len(own) {
+					k = len(own)
+				}
+				sub := make([]dict.EdgeType, 0, k)
+				for _, i := range rng.Perm(len(own))[:k] {
+					sub = append(sub, own[i])
+				}
+				slices.Sort(sub)
+				queries = append(queries, sub)
+			}
+			for _, q := range queries {
+				got := ix.N.Neighbors(vid, side.dir, q)
+				want := bruteNeighbors(side.adj, q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("N%s(%d, %v) = %v, brute force %v", side.dir, v, q, got, want)
+				}
+				if ref := tr.LookupTrie(q); !slices.Equal(got, ref) {
+					t.Fatalf("N%s(%d, %v) = %v, OTIL trie %v", side.dir, v, q, got, ref)
+				}
+				if len(got) == 0 && got != nil {
+					t.Fatalf("N%s(%d, %v) returned an empty non-nil list", side.dir, v, q)
+				}
+				probes++
+			}
+		}
+	}
+	if probes < 500 {
+		t.Fatalf("only %d probes checked", probes)
+	}
+}
+
+// randomGraph builds a graph of at most nV vertices and nP predicates
+// from m random IRI triples (self-loops skipped).
+func randomGraph(t *testing.T, rng *rand.Rand, nV, nP, m int) *multigraph.Graph {
+	t.Helper()
 	var b multigraph.Builder
-	for i := 0; i < 300; i++ {
-		s := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
-		o := rdf.NewIRI("v" + string(rune('A'+rng.Intn(20))))
+	for i := 0; i < m; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("v%d", rng.Intn(nV)))
+		o := rdf.NewIRI(fmt.Sprintf("v%d", rng.Intn(nV)))
 		if s == o {
 			continue
 		}
-		p := rdf.NewIRI("p" + string(rune('a'+rng.Intn(6))))
+		p := rdf.NewIRI(fmt.Sprintf("p%d", rng.Intn(nP)))
 		if err := b.Add(rdf.Triple{S: s, P: p, O: o}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g := b.Build()
+	return b.Build()
+}
+
+// bruteNeighbors scans an adjacency list for the neighbours whose
+// multi-edge contains every type in q; nil when none does.
+func bruteNeighbors(adj []multigraph.Neighbor, q []dict.EdgeType) []dict.VertexID {
+	var out []dict.VertexID
+	for _, nb := range adj {
+		if multigraph.ContainsTypes(nb.Types, q) {
+			out = append(out, nb.V)
+		}
+	}
+	return out
+}
+
+// TestSingleTypeAnswerIsCapped checks that a single-type answer, which
+// shares N's arrays, cannot be extended in place: an append must leave
+// the next stored list untouched.
+func TestSingleTypeAnswerIsCapped(t *testing.T) {
+	g := randomGraph(t, rand.New(rand.NewSource(9)), 20, 3, 200)
 	ix := Build(g)
+	fresh := Build(g)
 	for v := 0; v < g.NumVertices(); v++ {
-		vid := dict.VertexID(v)
-		for _, nb := range g.In(vid) {
-			for _, et := range nb.Types {
-				got := ix.N.Neighbors(vid, Incoming, []dict.EdgeType{et})
-				if !containsVertex(got, nb.V) {
-					t.Fatalf("N+(%d, t%d) = %v missing %d", v, et, got, nb.V)
+		for et := dict.EdgeType(0); int(et) < g.NumEdgeTypes(); et++ {
+			for _, dir := range []Direction{Incoming, Outgoing} {
+				if got := ix.N.Neighbors(dict.VertexID(v), dir, []dict.EdgeType{et}); got != nil {
+					if cap(got) != len(got) {
+						t.Fatalf("N%s(%d, t%d): cap %d > len %d", dir, v, et, cap(got), len(got))
+					}
+					_ = append(got, ^dict.VertexID(0))
 				}
 			}
-			got := ix.N.Neighbors(vid, Incoming, nb.Types)
-			if !containsVertex(got, nb.V) {
-				t.Fatalf("N+(%d, full multi-edge) missing %d", v, nb.V)
-			}
 		}
-		for _, nb := range g.Out(vid) {
-			got := ix.N.Neighbors(vid, Outgoing, nb.Types)
-			if !containsVertex(got, nb.V) {
-				t.Fatalf("N-(%d, full multi-edge) missing %d", v, nb.V)
-			}
-		}
+	}
+	if !reflect.DeepEqual(ix.N, fresh.N) {
+		t.Fatal("appending to probe answers changed N")
 	}
 }
 
-func containsVertex(lst []dict.VertexID, v dict.VertexID) bool {
-	for _, x := range lst {
-		if x == v {
-			return true
-		}
+// TestNeighborhoodIndexIsFlat checks that N is a fixed set of flat arrays:
+// building it allocates the same number of heap objects whatever the
+// graph size, and Bytes reports exactly those arrays.
+func TestNeighborhoodIndexIsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	small := randomGraph(t, rng, 10, 4, 40)
+	large := randomGraph(t, rng, 400, 12, 4000)
+	allocs := func(g *multigraph.Graph) float64 {
+		return testing.AllocsPerRun(5, func() { BuildNeighborhoodIndex(g) })
 	}
-	return false
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("BuildNeighborhoodIndex allocates %v objects for %d vertices, %v for %d",
+			a, small.NumVertices(), b, large.NumVertices())
+	}
+	// Per direction: vOff (|V|+1), types and lOff (one entry per distinct
+	// (vertex, type) pair, plus one), verts (one per (pair, type) posting).
+	var want int64
+	for _, adj := range []func(dict.VertexID) []multigraph.Neighbor{large.In, large.Out} {
+		pairs, postings := 0, 0
+		for v := 0; v < large.NumVertices(); v++ {
+			var own []dict.EdgeType
+			for _, nb := range adj(dict.VertexID(v)) {
+				own = append(own, nb.Types...)
+				postings += len(nb.Types)
+			}
+			slices.Sort(own)
+			pairs += len(slices.Compact(own))
+		}
+		want += 4 * int64(large.NumVertices()+1+2*pairs+1+postings)
+	}
+	if got := BuildNeighborhoodIndex(large).Bytes(); got != want {
+		t.Errorf("Bytes = %d, want %d", got, want)
+	}
 }
 
 // TestCardinalities cross-checks the planner statistics against a direct
@@ -316,5 +427,32 @@ func TestCardinalities(t *testing.T) {
 	// Unknown type is safe.
 	if c.VerticesWith(Outgoing, r+100) != 0 || c.Fanout(Incoming, r+100) != 0 {
 		t.Error("out-of-range type not zero")
+	}
+}
+
+// TestCardinalitiesAgainstAdjacency checks the statistics Build reads off
+// N against a direct count over the adjacency of a random graph.
+func TestCardinalitiesAgainstAdjacency(t *testing.T) {
+	g := randomGraph(t, rand.New(rand.NewSource(21)), 40, 8, 600)
+	c := Build(g).Card
+	nT := g.NumEdgeTypes()
+	want := Cardinalities{
+		OutVertices: make([]int, nT), InVertices: make([]int, nT),
+		Edges: make([]int, nT), NumVertices: g.NumVertices(),
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		vid := dict.VertexID(v)
+		for et := dict.EdgeType(0); int(et) < nT; et++ {
+			if bruteNeighbors(g.Out(vid), []dict.EdgeType{et}) != nil {
+				want.OutVertices[et]++
+			}
+			if bruteNeighbors(g.In(vid), []dict.EdgeType{et}) != nil {
+				want.InVertices[et]++
+			}
+			want.Edges[et] += len(bruteNeighbors(g.Out(vid), []dict.EdgeType{et}))
+		}
+	}
+	if !reflect.DeepEqual(*c, want) {
+		t.Errorf("Cardinalities = %+v, want %+v", *c, want)
 	}
 }

@@ -1,22 +1,24 @@
-// Package otil implements the Ordered Trie with Inverted Lists of
-// Terrovitis et al. (CIKM 2006), the structure the AMbER paper uses for the
-// vertex neighbourhood index N (Section 4.3, Figure 3).
+// Package otil implements the trie of the Ordered Trie with Inverted Lists
+// of Terrovitis et al. (CIKM 2006), the structure the AMbER paper uses for
+// the vertex neighbourhood index N (Section 4.3, Figure 3).
 //
 // One trie indexes the multi-edges incident on a single data vertex in one
 // direction. Each multi-edge — the ordered set of edge types shared with
 // one neighbour — is inserted as a root-to-node path, and the neighbour is
-// recorded both at the terminal trie node and in a per-edge-type inverted
-// list. A lookup for a query multi-edge T′ returns every neighbour whose
+// recorded at the terminal trie node. A lookup for a query multi-edge T′
+// walks the trie with skip-descent and returns every neighbour whose
 // multi-edge is a superset of T′.
 //
-// Two equivalent lookup strategies are provided: intersection of inverted
-// lists (the default, and what the engine uses) and a trie walk with
-// skip-descent (kept as the reference implementation and as an ablation
-// point for the benchmarks).
+// The running system answers N probes from the OTIL's inverted lists
+// alone, stored flat in internal/index. The trie is kept here as the
+// reference implementation that tests and the ablation benchmarks compare
+// against. The package also holds the sorted-id-list helpers the online
+// stage shares.
 package otil
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dict"
 )
@@ -33,37 +35,23 @@ type childRef struct {
 	n *tnode
 }
 
-func (n *tnode) child(t dict.EdgeType) *tnode {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].t >= t })
-	if i < len(n.children) && n.children[i].t == t {
-		return n.children[i].n
-	}
-	return nil
-}
-
 func (n *tnode) ensureChild(t dict.EdgeType) *tnode {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].t >= t })
-	if i < len(n.children) && n.children[i].t == t {
-		return n.children[i].n
+	i, ok := slices.BinarySearchFunc(n.children, t, func(c childRef, t dict.EdgeType) int { return cmp.Compare(c.t, t) })
+	if !ok {
+		n.children = slices.Insert(n.children, i, childRef{t: t, n: &tnode{}})
 	}
-	c := &tnode{}
-	n.children = append(n.children, childRef{})
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = childRef{t: t, n: c}
-	return c
+	return n.children[i].n
 }
 
 // Trie indexes the multi-edges of one vertex in one direction.
-// The zero value is ready to use; call Finalize after the last Insert.
+// The zero value is ready to use.
 type Trie struct {
 	root tnode
-	inv  map[dict.EdgeType][]dict.VertexID
-	fin  bool
 }
 
 // Insert records that neighbour v is connected through the multi-edge
 // types, which must be sorted ascending and duplicate-free (the universal
-// order the paper requires).
+// order the paper requires). An empty multi-edge is ignored.
 func (t *Trie) Insert(types []dict.EdgeType, v dict.VertexID) {
 	if len(types) == 0 {
 		return
@@ -73,92 +61,20 @@ func (t *Trie) Insert(types []dict.EdgeType, v dict.VertexID) {
 		n = n.ensureChild(et)
 	}
 	n.terminal = append(n.terminal, v)
-	if t.inv == nil {
-		t.inv = make(map[dict.EdgeType][]dict.VertexID)
-	}
-	for _, et := range types {
-		t.inv[et] = append(t.inv[et], v)
-	}
-	t.fin = false
 }
 
-// Finalize sorts the inverted lists; it must be called before lookups and
-// is idempotent.
-func (t *Trie) Finalize() {
-	if t.fin {
-		return
-	}
-	for et, lst := range t.inv {
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		t.inv[et] = dedupVertices(lst)
-	}
-	t.fin = true
-}
-
-func dedupVertices(lst []dict.VertexID) []dict.VertexID {
-	if len(lst) < 2 {
-		return lst
-	}
-	out := lst[:1]
-	for _, v := range lst[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Neighbors returns the sorted inverted list for a single edge type: all
-// neighbours whose multi-edge contains et. The returned slice must not be
-// modified.
-func (t *Trie) Neighbors(et dict.EdgeType) []dict.VertexID {
-	t.Finalize()
-	return t.inv[et]
-}
-
-// Lookup returns, sorted ascending, every neighbour whose multi-edge is a
-// superset of types (sorted ascending, duplicates allowed but redundant).
-// An empty query returns nil — the engine never asks for unconstrained
-// neighbours through the index.
-func (t *Trie) Lookup(types []dict.EdgeType) []dict.VertexID {
-	if len(types) == 0 {
-		return nil
-	}
-	t.Finalize()
-	// Start from the rarest list to keep intersections cheap.
-	lists := make([][]dict.VertexID, len(types))
-	for i, et := range types {
-		lst := t.inv[et]
-		if len(lst) == 0 {
-			return nil
-		}
-		lists[i] = lst
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, lst := range lists[1:] {
-		out = IntersectSorted(out, lst)
-		if len(out) == 0 {
-			return nil
-		}
-	}
-	// out may alias an inverted list; copy before returning.
-	res := make([]dict.VertexID, len(out))
-	copy(res, out)
-	return res
-}
-
-// LookupTrie answers the same superset query by walking the trie with
-// skip-descent. It is the reference implementation used by tests and the
-// ablation benchmarks.
+// LookupTrie returns, sorted ascending and duplicate-free, every neighbour
+// whose multi-edge is a superset of types (sorted ascending), by walking
+// the trie with skip-descent. An empty query returns nil — the engine
+// never asks for unconstrained neighbours through the index.
 func (t *Trie) LookupTrie(types []dict.EdgeType) []dict.VertexID {
 	if len(types) == 0 {
 		return nil
 	}
 	var out []dict.VertexID
 	walkSuperset(&t.root, types, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupVertices(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // walkSuperset visits all terminal nodes whose path contains every type in
@@ -189,9 +105,6 @@ func collectTerminals(n *tnode, out *[]dict.VertexID) {
 		collectTerminals(c.n, out)
 	}
 }
-
-// Len reports the number of distinct edge types indexed.
-func (t *Trie) Len() int { return len(t.inv) }
 
 // IntersectSorted returns the intersection of two ascending id lists.
 func IntersectSorted[T ~uint32](a, b []T) []T {

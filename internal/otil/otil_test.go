@@ -2,6 +2,7 @@ package otil
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -40,78 +41,77 @@ func TestFigure3SingleTypeLookups(t *testing.T) {
 	tr := buildFigure3()
 	// Paper example: fetching all data vertices with edge type t5 directed
 	// towards v2 yields {v1, v7}.
-	if got := tr.Lookup(types(5)); !equalVerts(got, verts(1, 7)) {
-		t.Errorf("Lookup(t5) = %v, want [1 7]", got)
+	if got := tr.LookupTrie(types(5)); !equalVerts(got, verts(1, 7)) {
+		t.Errorf("LookupTrie(t5) = %v, want [1 7]", got)
 	}
-	if got := tr.Lookup(types(1)); !equalVerts(got, verts(3)) {
-		t.Errorf("Lookup(t1) = %v, want [3]", got)
+	if got := tr.LookupTrie(types(1)); !equalVerts(got, verts(3)) {
+		t.Errorf("LookupTrie(t1) = %v, want [3]", got)
 	}
-	if got := tr.Lookup(types(4)); !equalVerts(got, verts(1)) {
-		t.Errorf("Lookup(t4) = %v, want [1]", got)
+	if got := tr.LookupTrie(types(4)); !equalVerts(got, verts(1)) {
+		t.Errorf("LookupTrie(t4) = %v, want [1]", got)
 	}
-	if got := tr.Lookup(types(9)); got != nil {
-		t.Errorf("Lookup(absent type) = %v, want nil", got)
+	if got := tr.LookupTrie(types(9)); got != nil {
+		t.Errorf("LookupTrie(absent type) = %v, want nil", got)
 	}
 }
 
 func TestFigure3MultiTypeLookup(t *testing.T) {
 	tr := buildFigure3()
-	if got := tr.Lookup(types(4, 5)); !equalVerts(got, verts(1)) {
-		t.Errorf("Lookup({t4,t5}) = %v, want [1]", got)
+	if got := tr.LookupTrie(types(4, 5)); !equalVerts(got, verts(1)) {
+		t.Errorf("LookupTrie({t4,t5}) = %v, want [1]", got)
 	}
 	// No neighbour carries both t1 and t5.
-	if got := tr.Lookup(types(1, 5)); got != nil {
-		t.Errorf("Lookup({t1,t5}) = %v, want nil", got)
-	}
-}
-
-func TestNeighborsInvertedList(t *testing.T) {
-	tr := buildFigure3()
-	if got := tr.Neighbors(5); !equalVerts(got, verts(1, 7)) {
-		t.Errorf("Neighbors(t5) = %v", got)
-	}
-	if got := tr.Neighbors(42); got != nil {
-		t.Errorf("Neighbors(absent) = %v", got)
+	if got := tr.LookupTrie(types(1, 5)); got != nil {
+		t.Errorf("LookupTrie({t1,t5}) = %v, want nil", got)
 	}
 }
 
 func TestEmptyQueryAndEmptyTrie(t *testing.T) {
 	var tr Trie
-	if got := tr.Lookup(types(1)); got != nil {
-		t.Errorf("Lookup on empty trie = %v", got)
+	if got := tr.LookupTrie(types(1)); got != nil {
+		t.Errorf("lookup on empty trie = %v", got)
 	}
 	full := buildFigure3()
-	if got := full.Lookup(nil); got != nil {
-		t.Errorf("empty query = %v, want nil", got)
-	}
 	if got := full.LookupTrie(nil); got != nil {
-		t.Errorf("empty trie query = %v, want nil", got)
-	}
-	if tr.Len() != 0 || full.Len() != 4 {
-		t.Errorf("Len = %d, %d", tr.Len(), full.Len())
+		t.Errorf("empty query = %v, want nil", got)
 	}
 }
 
 func TestInsertEmptyMultiEdgeIgnored(t *testing.T) {
 	var tr Trie
 	tr.Insert(nil, 9)
-	if tr.Len() != 0 {
+	if len(tr.root.children) != 0 || len(tr.root.terminal) != 0 {
 		t.Error("empty multi-edge should be ignored")
 	}
 }
 
-func TestTrieAndInvertedListAgree(t *testing.T) {
+// figure3Edges lists the multi-edges buildFigure3 inserts, by neighbour.
+var figure3Edges = map[dict.VertexID][]dict.EdgeType{
+	3: types(1), 1: types(4, 5), 7: types(5), 0: types(6),
+}
+
+func TestTrieWalkAgreesWithBruteForce(t *testing.T) {
 	tr := buildFigure3()
 	queries := [][]dict.EdgeType{
 		types(1), types(4), types(5), types(6), types(4, 5), types(1, 4), types(7),
 	}
 	for _, q := range queries {
-		a := tr.Lookup(q)
-		b := tr.LookupTrie(q)
-		if !equalVerts(a, b) {
-			t.Errorf("query %v: inverted %v, trie %v", q, a, b)
+		if got, want := tr.LookupTrie(q), bruteForce(figure3Edges, q); !equalVerts(got, want) {
+			t.Errorf("query %v: trie %v, brute force %v", q, got, want)
 		}
 	}
+}
+
+// bruteForce answers a superset query by scanning every multi-edge.
+func bruteForce(edges map[dict.VertexID][]dict.EdgeType, query []dict.EdgeType) []dict.VertexID {
+	var out []dict.VertexID
+	for v, me := range edges {
+		if containsAll(me, query) {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func TestSharedPrefixPaths(t *testing.T) {
@@ -121,14 +121,11 @@ func TestSharedPrefixPaths(t *testing.T) {
 	tr.Insert(types(1), 12)
 	tr.Insert(types(1, 2, 3), 13)
 
-	if got := tr.Lookup(types(1)); !equalVerts(got, verts(10, 11, 12, 13)) {
-		t.Errorf("Lookup(1) = %v", got)
+	if got := tr.LookupTrie(types(1)); !equalVerts(got, verts(10, 11, 12, 13)) {
+		t.Errorf("LookupTrie(1) = %v", got)
 	}
-	if got := tr.Lookup(types(1, 2)); !equalVerts(got, verts(10, 13)) {
-		t.Errorf("Lookup(1,2) = %v", got)
-	}
-	if got := tr.Lookup(types(2, 3)); !equalVerts(got, verts(13)) {
-		t.Errorf("Lookup(2,3) = %v", got)
+	if got := tr.LookupTrie(types(1, 2)); !equalVerts(got, verts(10, 13)) {
+		t.Errorf("LookupTrie(1,2) = %v", got)
 	}
 	if got := tr.LookupTrie(types(2, 3)); !equalVerts(got, verts(13)) {
 		t.Errorf("LookupTrie(2,3) = %v", got)
@@ -143,26 +140,25 @@ func TestDuplicateInsertsCollapse(t *testing.T) {
 	var tr Trie
 	tr.Insert(types(2), 5)
 	tr.Insert(types(2), 5)
-	if got := tr.Lookup(types(2)); !equalVerts(got, verts(5)) {
-		t.Errorf("Lookup after duplicate insert = %v", got)
+	if got := tr.LookupTrie(types(2)); !equalVerts(got, verts(5)) {
+		t.Errorf("lookup after duplicate insert = %v", got)
 	}
 }
 
-func TestInsertAfterFinalize(t *testing.T) {
+func TestInsertAfterLookup(t *testing.T) {
 	var tr Trie
 	tr.Insert(types(1), 1)
-	if got := tr.Lookup(types(1)); !equalVerts(got, verts(1)) {
+	if got := tr.LookupTrie(types(1)); !equalVerts(got, verts(1)) {
 		t.Fatalf("first lookup = %v", got)
 	}
 	tr.Insert(types(1), 0) // out of order on purpose
-	if got := tr.Lookup(types(1)); !equalVerts(got, verts(0, 1)) {
-		t.Errorf("lookup after re-insert = %v, want re-finalized sorted list", got)
+	if got := tr.LookupTrie(types(1)); !equalVerts(got, verts(0, 1)) {
+		t.Errorf("lookup after re-insert = %v, want the new neighbour, sorted", got)
 	}
 }
 
-// TestLookupEquivalenceProperty: on random tries, the inverted-list
-// intersection and the trie walk agree for all query sizes, and both agree
-// with brute force over the inserted multi-edges.
+// TestLookupEquivalenceProperty: on random tries, the trie walk agrees
+// with brute force over the inserted multi-edges for all query sizes.
 func TestLookupEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -195,15 +191,7 @@ func TestLookupEquivalenceProperty(t *testing.T) {
 			}
 			sortTypes(query)
 
-			var want []dict.VertexID
-			for v := dict.VertexID(0); v < 30; v++ {
-				if containsAll(edges[v], query) {
-					want = append(want, v)
-				}
-			}
-			got := tr.Lookup(query)
-			gotTrie := tr.LookupTrie(query)
-			if !equalVerts(got, want) || !equalVerts(gotTrie, want) {
+			if !equalVerts(tr.LookupTrie(query), bruteForce(edges, query)) {
 				return false
 			}
 		}

@@ -14,7 +14,7 @@
 //     data distribution.
 //   - CostBased estimates every core vertex's candidate-set size from the
 //     index ensemble (attribute inverted-list lengths, exact
-//     neighbourhood-trie probes for constant-IRI constraints, and
+//     neighbourhood-index probes for constant-IRI constraints, and
 //     per-edge-type cardinalities) and greedily picks the connected
 //     vertex with the smallest estimated frontier. Ties and missing
 //     statistics fall back to the paper heuristic, so the cost-based

@@ -27,8 +27,9 @@ type Stats struct {
 	// DatabaseBuildTime and IndexBuildTime are the offline-stage timings.
 	DatabaseBuildTime time.Duration
 	IndexBuildTime    time.Duration
-	// DatabaseBytes and IndexBytes are analytic size estimates of the
-	// multigraph and the index ensemble I = {A, S, N}.
+	// DatabaseBytes is an analytic size estimate of the multigraph.
+	// IndexBytes sizes the index ensemble I = {A, S, N}: exact for the
+	// postings of A and N, an estimate for the R-tree S.
 	DatabaseBytes int64
 	IndexBytes    int64
 }
