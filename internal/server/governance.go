@@ -114,14 +114,14 @@ func (s *Server) AdminHandler() http.Handler {
 func (s *Server) cancelOutcome(ctx context.Context) (status string, code int, msg string) {
 	switch cause := context.Cause(ctx); {
 	case errors.Is(cause, obs.ErrAdminCancelled):
-		s.met.cancelledAdmin.Add(1)
+		s.cancelledAdmin.Inc()
 		return "killed", http.StatusInternalServerError, "query cancelled by administrator"
 	case errors.Is(cause, obs.ErrResourceLimit):
-		s.met.resourceLimited.Add(1)
+		s.resourceLimited.Inc()
 		return "resource_limit", http.StatusUnprocessableEntity,
 			fmt.Sprintf("query exceeded resource limit (%d vertices visited)", s.cfg.MaxQueryVisits)
 	default:
-		s.met.cancelled.Add(1)
+		s.cancelled.Inc()
 		return "cancelled", 0, ""
 	}
 }

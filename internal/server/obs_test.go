@@ -162,17 +162,65 @@ func TestMetricsBucketsMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogramsDisabledFallsBackToRing(t *testing.T) {
-	s, ts := newTestServer(t, townData, Config{DisableHistograms: true})
-	get(t, queryURL(ts.URL, knowsQuery), nil)
+// TestQueryLatencyFromArrival checks that recorded query latency runs
+// from request arrival, queue wait included: a request queued behind a
+// held execution slot records at least the time it waited.
+func TestQueryLatencyFromArrival(t *testing.T) {
+	_, ts := newTestServer(t, townData, Config{MaxConcurrent: 1, QueueWait: time.Second})
+	const hold = 100 * time.Millisecond
 
-	_, body := get(t, ts.URL+"/metrics", nil)
-	if strings.Contains(body, "amber_query_duration_seconds") {
-		t.Error("histograms exposed despite DisableHistograms")
+	// The hook parks each marked query at execution until its gate opens.
+	gates := map[string]chan struct{}{"?holder": make(chan struct{}), "?queued": make(chan struct{})}
+	entered := make(chan string, len(gates))
+	testHookExecute = func(q string) {
+		for marker, gate := range gates {
+			if strings.Contains(q, marker) {
+				entered <- marker
+				<-gate
+			}
+		}
 	}
-	// Percentiles still come from the ring.
-	if st := s.Stats(); st.Queries != 1 || st.P99Millis < st.P50Millis {
-		t.Errorf("ring fallback stats: %+v", st)
+	t.Cleanup(func() { testHookExecute = nil })
+	await := func(want string) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != want {
+				t.Fatalf("%s reached execution, want %s", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never reached execution", want)
+		}
+	}
+	durationSum := func() float64 {
+		_, body := get(t, ts.URL+"/metrics", nil)
+		return parsePrometheus(t, body)["amber_query_duration_seconds_sum"]
+	}
+
+	var wg sync.WaitGroup
+	run := func(q string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := get(t, queryURL(ts.URL, q), nil); resp.StatusCode != 200 {
+				t.Errorf("status %d: %s", resp.StatusCode, body)
+			}
+		}()
+	}
+	run(`SELECT ?holder WHERE { ?holder <http://town/knows> ?x . }`)
+	await("?holder")
+	run(`SELECT ?queued WHERE { ?queued <http://town/knows> ?x . }`)
+	time.Sleep(hold) // the second request waits for the only slot
+	close(gates["?holder"])
+
+	// The queued request reaches execution only after the holder has
+	// recorded its latency and freed the slot.
+	await("?queued")
+	before := durationSum()
+	close(gates["?queued"])
+	wg.Wait()
+	if d := durationSum() - before; d < (hold / 2).Seconds() {
+		t.Errorf("queued request recorded %.1fms, want ≥ %v (queue wait included)", d*1000, hold/2)
 	}
 }
 

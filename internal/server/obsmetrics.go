@@ -5,37 +5,33 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	amber "repro"
 	"repro/internal/obs"
 )
 
-// initMetrics builds the /metrics registry. Serving counters are exposed
-// through scrape-time closures over the same atomics /stats reads, so
-// the two endpoints can never disagree; database and WAL gauges read the
+// initMetrics builds the /metrics registry. The serving counters and
+// latency histograms live here and /stats reads them, so the two
+// endpoints can never disagree; database and WAL gauges read the
 // currently-served dbState at scrape time, so they follow hot swaps.
 func (s *Server) initMetrics() {
 	r := obs.NewRegistry()
 	s.reg = r
 
-	cf := func(name, help string, v *atomic.Uint64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	cf("amber_queries_total", "Query requests accepted for processing.", &s.met.queries)
-	cf("amber_query_cache_hits_total", "Queries answered from the result cache.", &s.met.cacheHits)
-	cf("amber_query_cache_misses_total", "Queries that reached the engine.", &s.met.cacheMisses)
-	cf("amber_rejected_total", "Requests shed by admission control (503).", &s.met.rejected)
-	cf("amber_timeouts_total", "Queries aborted by the per-query timeout.", &s.met.timeouts)
-	cf("amber_cancelled_total", "Queries aborted by client disconnect.", &s.met.cancelled)
-	cf("amber_query_cancelled_admin_total", "Queries killed through the admin cancel surface.", &s.met.cancelledAdmin)
-	cf("amber_query_resource_limited_total", "Queries cancelled by the max-query-visits guard.", &s.met.resourceLimited)
-	cf("amber_parse_errors_total", "Requests rejected as malformed SPARQL.", &s.met.parseErrors)
-	cf("amber_updates_total", "Update requests accepted for processing.", &s.met.updates)
-	cf("amber_update_errors_total", "Updates that failed to parse or apply.", &s.met.updateErrors)
-	r.GaugeFunc("amber_in_flight", "Engine executions currently running.",
-		func() float64 { return float64(s.met.inFlight.Load()) })
+	s.queries = r.Counter("amber_queries_total", "Query requests accepted for processing.")
+	s.cacheHits = r.Counter("amber_query_cache_hits_total", "Queries answered from the result cache.")
+	s.cacheMisses = r.Counter("amber_query_cache_misses_total", "Queries that reached the engine.")
+	s.rejected = r.Counter("amber_rejected_total", "Requests shed by admission control (503).")
+	s.timeouts = r.Counter("amber_timeouts_total", "Queries aborted by the per-query timeout.")
+	s.cancelled = r.Counter("amber_cancelled_total", "Queries aborted by client disconnect.")
+	s.cancelledAdmin = r.Counter("amber_query_cancelled_admin_total", "Queries killed through the admin cancel surface.")
+	s.resourceLimited = r.Counter("amber_query_resource_limited_total", "Queries cancelled by the max-query-visits guard.")
+	s.parseErrors = r.Counter("amber_parse_errors_total", "Requests rejected as malformed SPARQL.")
+	s.updates = r.Counter("amber_updates_total", "Update requests accepted for processing.")
+	s.updateErrors = r.Counter("amber_update_errors_total", "Updates that failed to parse or apply.")
+	r.GaugeFunc("amber_in_flight", "Execution slots currently held (admitted queries, explains and updates).",
+		func() float64 { return float64(len(s.sem)) })
 	r.GaugeFunc("amber_inflight_queries", "Requests currently registered in the in-flight governance table.",
 		func() float64 { return float64(s.inflight.Len()) })
 	r.GaugeFunc("amber_ready", "1 when /readyz reports ready, 0 while draining for a reload.",
@@ -48,15 +44,13 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("amber_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	if !s.cfg.DisableHistograms {
-		s.queryHist = r.Histogram("amber_query_duration_seconds",
-			"End-to-end latency of successfully answered queries.", obs.LatencyBuckets)
-		s.updateHist = r.Histogram("amber_update_duration_seconds",
-			"Latency of successfully applied updates.", obs.LatencyBuckets)
-		s.stageHist = r.HistogramVec("amber_stage_duration_seconds",
-			"Per-stage latency of query handling (parse_plan, execute, serialize).",
-			"stage", obs.LatencyBuckets)
-	}
+	s.queryHist = r.Histogram("amber_query_duration_seconds",
+		"End-to-end latency of successfully answered queries, from request arrival.", obs.LatencyBuckets)
+	s.updateHist = r.Histogram("amber_update_duration_seconds",
+		"End-to-end latency of successfully applied updates, from request arrival.", obs.LatencyBuckets)
+	s.stageHist = r.HistogramVec("amber_stage_duration_seconds",
+		"Per-stage latency of query handling (parse_plan, execute, serialize).",
+		"stage", obs.LatencyBuckets)
 
 	s.engRecur = r.CounterVec("amber_engine_recursions_total",
 		"HomomorphicMatch invocations, by query shape.", "shape")
@@ -201,27 +195,14 @@ func (s *Server) initMetrics() {
 	obs.RegisterRuntimeMetrics(r)
 }
 
-// recordLatency records one successfully answered query's end-to-end
-// latency: into the bucketed histogram, or — with histograms disabled —
-// the sliding-window ring that /stats percentiles then fall back to.
-func (s *Server) recordLatency(d time.Duration) {
-	if s.queryHist != nil {
-		s.queryHist.Observe(d.Seconds())
-	} else {
-		s.met.lat.record(d)
-	}
-}
-
 // finishTrace seals a request trace and fans it out: stage-timing
 // histograms, per-shape engine effort counters, the plan-quality
 // accumulator, the recent-trace ring, and the slow-query log.
 func (s *Server) finishTrace(st *dbState, tr *obs.Trace, status string, rows uint64) {
 	tr.Finish(status, rows)
 	v := tr.View()
-	if s.stageHist != nil {
-		for _, sp := range v.Spans {
-			s.stageHist.With(sp.Name).Observe(sp.Duration.Seconds())
-		}
+	for _, sp := range v.Spans {
+		s.stageHist.With(sp.Name).Observe(sp.Duration.Seconds())
 	}
 	if v.Shape != "" {
 		s.engRecur.With(v.Shape).Add(uint64(v.Engine.Recursions))

@@ -97,10 +97,6 @@ type Config struct {
 	// Default 128; negative disables the ring (the endpoint serves an
 	// empty list).
 	TraceBuffer int
-	// DisableHistograms turns off the bucketed latency histograms. /stats
-	// percentiles then fall back to the 1024-entry sliding-window ring,
-	// and /metrics omits the *_duration_seconds families.
-	DisableHistograms bool
 	// AdminToken, when set, enables POST /admin/queries/{id}/cancel on
 	// the public listener for requests carrying the token (X-Admin-Token
 	// or bearer Authorization header). Without it the public cancel
@@ -236,8 +232,7 @@ type Server struct {
 	cfg   Config
 	state atomic.Pointer[dbState]
 	gen   atomic.Uint64
-	sem   chan struct{}
-	met   metrics
+	sem   chan struct{} // admission slots; len is the number held
 	start time.Time
 	mux   *http.ServeMux
 	ready atomic.Bool
@@ -249,20 +244,31 @@ type Server struct {
 
 	// Observability (see internal/obs): the Prometheus registry behind
 	// /metrics, the recent-trace ring behind /debug/traces, the slow-query
-	// log, and the per-generation planner-accuracy accumulator. The
-	// histograms are nil when Config.DisableHistograms is set (the
-	// latencyRing then carries /stats percentiles).
-	reg        *obs.Registry
-	queryHist  *obs.Histogram
-	updateHist *obs.Histogram
-	stageHist  *obs.HistogramVec
-	engRecur   *obs.CounterVec
-	engInit    *obs.CounterVec
-	engSat     *obs.CounterVec
-	engEmb     *obs.CounterVec
-	traces     *obs.TraceRing
-	slowLog    *obs.SlowLog
-	planQual   obs.PlanQuality
+	// log, and the per-generation planner-accuracy accumulator.
+	reg *obs.Registry
+	// Serving counters and latency histograms, registered on reg: /stats
+	// is a view over the same instruments /metrics exposes.
+	queries         *obs.Counter
+	cacheHits       *obs.Counter
+	cacheMisses     *obs.Counter
+	rejected        *obs.Counter
+	timeouts        *obs.Counter
+	cancelled       *obs.Counter
+	cancelledAdmin  *obs.Counter
+	resourceLimited *obs.Counter
+	parseErrors     *obs.Counter
+	updates         *obs.Counter
+	updateErrors    *obs.Counter
+	queryHist       *obs.Histogram
+	updateHist      *obs.Histogram
+	stageHist       *obs.HistogramVec
+	engRecur        *obs.CounterVec
+	engInit         *obs.CounterVec
+	engSat          *obs.CounterVec
+	engEmb          *obs.CounterVec
+	traces          *obs.TraceRing
+	slowLog         *obs.SlowLog
+	planQual        obs.PlanQuality
 }
 
 // New builds a Server serving db with the given configuration.
@@ -478,28 +484,6 @@ func (s *Server) readParams(r *http.Request) (queryParams, error) {
 	return p, nil
 }
 
-// acquire claims an execution slot, waiting up to QueueWait.
-func (s *Server) acquire(ctx context.Context) bool {
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	default:
-	}
-	if s.cfg.QueueWait <= 0 {
-		return false
-	}
-	timer := time.NewTimer(s.cfg.QueueWait)
-	defer timer.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-timer.C:
-		return false
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // countingWriter tracks whether any response bytes reached the client,
 // which decides whether an execution error can still become a clean
 // HTTP error response. It also feeds the query's resource meter, so
@@ -517,225 +501,306 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
+// request is one SPARQL protocol request as it moves through the
+// handler's stages.
+type request struct {
+	id    string    // echoed in X-Request-Id, error bodies and traces
+	start time.Time // arrival: recorded latency runs from here
+	st    *dbState  // the database generation serving this request
+	query string    // query or update text
+	// Query requests only.
+	params queryParams
+	norm   string // normalized query text: the plan-cache key
+	key    string // result-cache key
+}
 
+// handleQuery is the SPARQL endpoint: decode, then dispatch to the
+// update, explain, result-cache or execution pipeline.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Every request gets an ID up front, echoed in the X-Request-Id
 	// header and any error body, so a client report can be matched to a
 	// slow-query record or a /debug/traces entry.
-	reqID := obs.NewRequestID()
-	w.Header().Set("X-Request-Id", reqID)
+	q := &request{id: obs.NewRequestID(), start: time.Now(), st: s.state.Load()}
+	w.Header().Set("X-Request-Id", q.id)
 
-	query, isUpdate, err := s.readQuery(r)
-	if err == nil {
-		if len(query) > s.cfg.MaxQueryLength {
-			err = errorf(http.StatusRequestEntityTooLarge,
-				"query exceeds %d bytes", s.cfg.MaxQueryLength)
-		}
-	}
-	if err == nil && isUpdate {
-		s.handleUpdate(w, r, st, query, reqID)
-		return
-	}
-	var params queryParams
-	if err == nil {
-		params, err = s.readParams(r)
-	}
+	isUpdate, err := s.decode(r, q)
 	if err != nil {
 		he := err.(*httpError)
 		if he.status == http.StatusMethodNotAllowed {
 			w.Header().Set("Allow", "GET, POST")
 		}
-		writeError(w, he.status, he.msg, reqID)
+		writeError(w, he.status, he.msg, q.id)
 		return
 	}
-
+	if isUpdate {
+		s.handleUpdate(w, r, q)
+		return
+	}
 	// Every read advertises the data version it serves, so a client can
-	// observe follower staleness; X-Min-Epoch lets a client that just
-	// wrote (and captured the update's X-Epoch) demand at-least-that-fresh
-	// reads — read-your-writes across the replication fleet, with a
-	// bounded wait on a lagging follower.
-	st, err = s.gateMinEpoch(r, st)
-	if err != nil {
-		he := err.(*httpError)
-		writeError(w, he.status, he.msg, reqID)
+	// observe follower staleness.
+	w.Header().Set("X-Epoch", strconv.FormatUint(s.servedEpoch(q.st), 10))
+
+	if q.params.explain {
+		s.serveExplain(w, r, q)
 		return
 	}
-	w.Header().Set("X-Epoch", strconv.FormatUint(s.servedEpoch(st), 10))
-
-	// Explain renders the matching plan; explain=analyze additionally
-	// executes the query and reports actual per-level frontiers. Both run
-	// real index work, so they claim an execution slot like any query;
-	// they skip the result cache (plans are cheap relative to cache
-	// bookkeeping and the output embeds live cardinalities).
-	if params.explain {
-		if !s.acquire(r.Context()) {
-			s.met.rejected.Add(1)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
-			return
-		}
-		defer func() { <-s.sem }()
-		s.met.queries.Add(1)
-		s.met.inFlight.Add(1)
-		defer s.met.inFlight.Add(-1)
-		var out string
-		var eerr error
-		ectx := r.Context()
-		if params.analyze {
-			// explain=analyze executes the query, so it is governed like
-			// one: registered in the in-flight table, admin-cancellable,
-			// and subject to the visit guard.
-			var cancelCause context.CancelCauseFunc
-			ectx, cancelCause = context.WithCancelCause(ectx)
-			defer cancelCause(nil)
-			meter := obs.NewResourceMeter()
-			if s.cfg.MaxQueryVisits > 0 {
-				meter.SetVisitLimit(s.cfg.MaxQueryVisits, cancelCause)
-			}
-			s.inflight.Register(reqID, query, "explain", r.RemoteAddr, st.db.Epoch(), meter, nil, cancelCause)
-			defer s.inflight.Remove(reqID)
-			out, eerr = st.db.ExplainAnalyzeContext(ectx, query, params.planner, &params.opts)
-		} else {
-			out, eerr = st.db.ExplainPlanner(query, params.planner)
-		}
-		switch {
-		case eerr == amber.ErrTimeout:
-			s.met.timeouts.Add(1)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
-			return
-		case errors.Is(eerr, context.Canceled):
-			if _, code, msg := s.cancelOutcome(ectx); code != 0 {
-				writeError(w, code, msg, reqID)
-			}
-			return
-		case eerr != nil:
-			s.met.parseErrors.Add(1)
-			writeError(w, http.StatusBadRequest, "invalid query: "+eerr.Error(), reqID)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, out) //nolint:errcheck
-		return
+	q.norm = normalizeQuery(q.query)
+	q.key = cacheKey(q.norm, &q.params.opts, q.st.db.Epoch())
+	if !s.serveCached(w, q) {
+		s.serveQuery(w, r, q)
 	}
+}
 
-	norm := normalizeQuery(query)
-	key := cacheKey(norm, &params.opts, st.db.Epoch())
+// decode is the decode stage: the query or update text, then — for a
+// query — its execution parameters and the X-Min-Epoch gate, which lets
+// a client that just wrote (and captured the update's X-Epoch) demand
+// at-least-that-fresh reads: read-your-writes across the replication
+// fleet, with a bounded wait on a lagging follower.
+func (s *Server) decode(r *http.Request, q *request) (isUpdate bool, err error) {
+	q.query, isUpdate, err = s.readQuery(r)
+	if err == nil && len(q.query) > s.cfg.MaxQueryLength {
+		err = errorf(http.StatusRequestEntityTooLarge, "query exceeds %d bytes", s.cfg.MaxQueryLength)
+	}
+	if err != nil || isUpdate {
+		return isUpdate, err
+	}
+	if q.params, err = s.readParams(r); err != nil {
+		return false, err
+	}
+	q.st, err = s.gateMinEpoch(r, q.st)
+	return false, err
+}
 
-	// Cached results are served without touching the engine, so they
-	// bypass admission control entirely.
-	if cr, ok := st.results.Get(key); ok {
-		s.met.queries.Add(1)
-		s.met.cacheHits.Add(1)
-		tr := obs.NewTraceID(reqID, query)
-		start := time.Now()
-		w.Header().Set("Content-Type", params.format.ContentType)
-		w.Header().Set("X-Cache", "hit")
-		var werr error
-		if cr.isBool {
-			werr = results.WriteBool(params.format, w, cr.boolVal)
-		} else {
-			werr = results.WriteAll(params.format, w, cr.vars, cr.rows)
+// admit is the admission stage: it claims an execution slot, waiting up
+// to QueueWait, and otherwise answers 503 with Retry-After. A true
+// return must be paired with release. /stats in_flight and the
+// amber_in_flight gauge count the slots held.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, reqID string) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	if s.cfg.QueueWait > 0 {
+		timer := time.NewTimer(s.cfg.QueueWait)
+		defer timer.Stop()
+		select {
+		case s.sem <- struct{}{}:
+			return true
+		case <-timer.C:
+		case <-r.Context().Done():
 		}
-		if werr == nil {
-			d := time.Since(start)
-			tr.AddSpan("serialize", d)
-			s.finishTrace(st, tr, "hit", uint64(len(cr.rows)))
-			s.recordLatency(d)
-		}
-		return
 	}
-	if !s.acquire(r.Context()) {
-		s.met.rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
-		return
-	}
-	defer func() { <-s.sem }()
+	s.rejected.Inc()
+	writeError(w, http.StatusServiceUnavailable,
+		fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
+	return false
+}
 
-	s.met.queries.Add(1)
-	s.met.cacheMisses.Add(1)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-	tr := obs.NewTraceID(reqID, query)
-	start := time.Now()
+// release frees the execution slot claimed by admit.
+func (s *Server) release() { <-s.sem }
 
-	endParse := tr.Span("parse_plan")
-	prep, perr := st.prepare(norm, query)
-	endParse()
-	if perr != nil {
-		s.met.parseErrors.Add(1)
-		s.finishTrace(st, tr, "parse_error", 0)
-		writeError(w, http.StatusBadRequest, "invalid query: "+perr.Error(), reqID)
-		return
-	}
-
-	// Execution runs under a cancellable-with-cause context derived from
-	// the request's: a client disconnect, an admin cancel
-	// (POST /admin/queries/{id}/cancel), and the -max-query-visits guard
-	// all reach the engine through the same ctx.Done() poll, and the
-	// cause distinguishes them afterwards. The meter rides the trace into
-	// the engine and is readable live through GET /debug/queries.
+// govern puts an admitted request under live governance. Execution runs
+// under a cancellable-with-cause context derived from the request's: a
+// client disconnect, an admin cancel (POST /admin/queries/{id}/cancel),
+// and the -max-query-visits guard all reach the engine through the same
+// ctx.Done() poll, and the cause distinguishes them afterwards (see
+// cancelOutcome). The request is listed with its resource meter in GET
+// /debug/queries until done is called.
+func (s *Server) govern(r *http.Request, q *request, kind string, shape func() string) (ctx context.Context, meter *obs.ResourceMeter, done func()) {
 	ctx, cancelCause := context.WithCancelCause(r.Context())
-	defer cancelCause(nil)
-	meter := obs.NewResourceMeter()
+	meter = obs.NewResourceMeter()
 	if s.cfg.MaxQueryVisits > 0 {
 		meter.SetVisitLimit(s.cfg.MaxQueryVisits, cancelCause)
 	}
-	tr.SetMeter(meter)
-	s.inflight.Register(reqID, query, "query", r.RemoteAddr, st.db.Epoch(), meter, prep.Shape, cancelCause)
-	defer s.inflight.Remove(reqID)
+	s.inflight.Register(q.id, q.query, kind, r.RemoteAddr, q.st.db.Epoch(), meter, shape, cancelCause)
+	return ctx, meter, func() {
+		s.inflight.Remove(q.id)
+		cancelCause(nil)
+	}
+}
 
+// errClientGone marks a response abandoned mid-write: the client went
+// away, so no error response is owed.
+var errClientGone = errors.New("client went away")
+
+// execOutcome maps a failed execution to its trace status and the HTTP
+// error owed to the client: a timeout is 503, a cancellation is
+// classified by its cause (see cancelOutcome), a vanished client is owed
+// nothing, and any other error answers with code — 400 "invalid query"
+// (counted as a parse error) where the text is parsed as part of the
+// call, otherwise the error itself. A zero code means no response.
+func (s *Server) execOutcome(ctx context.Context, err error, q *request, code int) (status string, _ int, msg string) {
+	switch {
+	case err == amber.ErrTimeout:
+		s.timeouts.Inc()
+		return "timeout", http.StatusServiceUnavailable,
+			fmt.Sprintf("query timed out after %s", q.params.opts.Timeout)
+	case errors.Is(err, context.Canceled):
+		return s.cancelOutcome(ctx)
+	case err == errClientGone:
+		return "client_gone", 0, ""
+	case code == http.StatusBadRequest:
+		s.parseErrors.Inc()
+		return "parse_error", code, "invalid query: " + err.Error()
+	default:
+		return "error", code, err.Error()
+	}
+}
+
+// serveExplain renders the matching plan; explain=analyze additionally
+// executes the query and reports actual per-level frontiers. Both run
+// real index work, so they claim an execution slot like any query; they
+// skip the result cache (plans are cheap relative to cache bookkeeping
+// and the output embeds live cardinalities).
+func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, q *request) {
+	if !s.admit(w, r, q.id) {
+		return
+	}
+	defer s.release()
+	s.queries.Inc()
+	ctx := r.Context()
+	var out string
+	var err error
+	if q.params.analyze {
+		// explain=analyze executes the query, so it is governed like one.
+		var done func()
+		ctx, _, done = s.govern(r, q, "explain", nil)
+		defer done()
+		out, err = q.st.db.ExplainAnalyzeContext(ctx, q.query, q.params.planner, &q.params.opts)
+	} else {
+		out, err = q.st.db.ExplainPlanner(q.query, q.params.planner)
+	}
+	if err != nil {
+		// The text is parsed inside the explain call: other errors are 400.
+		if _, code, msg := s.execOutcome(ctx, err, q, http.StatusBadRequest); code != 0 {
+			writeError(w, code, msg, q.id)
+		}
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, out) //nolint:errcheck
+}
+
+// serveCached answers from the result cache, reporting false on a miss.
+// Cached results are served without touching the engine, so they bypass
+// admission control entirely.
+func (s *Server) serveCached(w http.ResponseWriter, q *request) bool {
+	cr, ok := q.st.results.Get(q.key)
+	if !ok {
+		return false
+	}
+	s.queries.Inc()
+	s.cacheHits.Inc()
+	tr := obs.NewTraceID(q.id, q.query)
+	start := time.Now()
+	w.Header().Set("Content-Type", q.params.format.ContentType)
+	w.Header().Set("X-Cache", "hit")
+	var err error
+	if cr.isBool {
+		err = results.WriteBool(q.params.format, w, cr.boolVal)
+	} else {
+		err = results.WriteAll(q.params.format, w, cr.vars, cr.rows)
+	}
+	if err == nil {
+		tr.AddSpan("serialize", time.Since(start))
+		s.finishTrace(q.st, tr, "hit", uint64(len(cr.rows)))
+		s.queryHist.Observe(time.Since(q.start).Seconds())
+	}
+	return true
+}
+
+// serveQuery answers a result-cache miss: admit, parse_plan, then
+// execute and serialize under governance.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q *request) {
+	if !s.admit(w, r, q.id) {
+		return
+	}
+	defer s.release()
+	s.queries.Inc()
+	s.cacheMisses.Inc()
+	tr := obs.NewTraceID(q.id, q.query)
+
+	prep, err := s.parsePlan(q, tr)
+	if err != nil {
+		status, code, msg := s.execOutcome(r.Context(), err, q, http.StatusBadRequest)
+		s.finishTrace(q.st, tr, status, 0)
+		writeError(w, code, msg, q.id)
+		return
+	}
+
+	ctx, meter, done := s.govern(r, q, "query", prep.Shape)
+	defer done()
+	// The meter rides the trace into the engine and is readable live
+	// through GET /debug/queries.
+	tr.SetMeter(meter)
 	// pprof goroutine labels: CPU samples of this query's handler — and
 	// of any parallel workers it spawns, which inherit the labels — carry
 	// its request id and shape, so a -debug-addr profile attributes time
 	// to specific queries.
 	defer pprof.SetGoroutineLabels(r.Context())
 	ctx = pprof.WithLabels(obs.ContextWithTrace(ctx, tr),
-		pprof.Labels("request_id", reqID, "shape", prep.Shape()))
+		pprof.Labels("request_id", q.id, "shape", prep.Shape()))
 	pprof.SetGoroutineLabels(ctx)
 
 	if testHookExecute != nil {
-		testHookExecute(query)
-	}
-
-	if prep.IsAsk() {
-		endExec := tr.Span("execute")
-		val, aerr := prep.AskContext(ctx, &params.opts)
-		endExec()
-		switch {
-		case aerr == amber.ErrTimeout:
-			s.met.timeouts.Add(1)
-			s.finishTrace(st, tr, "timeout", 0)
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
-			return
-		case errors.Is(aerr, context.Canceled):
-			status, code, msg := s.cancelOutcome(ctx)
-			s.finishTrace(st, tr, status, 0)
-			if code != 0 {
-				writeError(w, code, msg, reqID)
-			}
-			return
-		case aerr != nil:
-			s.finishTrace(st, tr, "error", 0)
-			writeError(w, http.StatusInternalServerError, aerr.Error(), reqID)
-			return
-		}
-		w.Header().Set("Content-Type", params.format.ContentType)
-		w.Header().Set("X-Cache", "miss")
-		if results.WriteBool(params.format, w, val) == nil {
-			st.results.Put(key, &cachedResult{isBool: true, boolVal: val})
-			s.finishTrace(st, tr, "ok", 0)
-			s.recordLatency(time.Since(start))
-		}
-		return
+		testHookExecute(q.query)
 	}
 
 	cw := &countingWriter{dst: w, meter: meter}
-	sw := params.format.New(cw)
-	w.Header().Set("Content-Type", params.format.ContentType)
+	var res *cachedResult
+	var rows uint64
+	if prep.IsAsk() {
+		res, err = executeAsk(ctx, w, cw, q, prep, tr)
+	} else {
+		res, rows, err = s.executeSelect(ctx, w, cw, q, prep, tr)
+	}
+	if err != nil {
+		status, code, msg := s.execOutcome(ctx, err, q, http.StatusInternalServerError)
+		s.finishTrace(q.st, tr, status, rows)
+		if code != 0 && cw.n == 0 {
+			writeError(w, code, msg, q.id)
+		}
+		return
+	}
+	if res != nil {
+		q.st.results.Put(q.key, res)
+	}
+	s.finishTrace(q.st, tr, "ok", rows)
+	s.queryHist.Observe(time.Since(q.start).Seconds())
+}
+
+// parsePlan is the parse_plan stage: the query's prepared plan, from the
+// plan cache or freshly parsed, translated and planned.
+func (s *Server) parsePlan(q *request, tr *obs.Trace) (*amber.Prepared, error) {
+	defer tr.Span("parse_plan")()
+	return q.st.prepare(q.norm, q.query)
+}
+
+// executeAsk runs an ASK query and writes its boolean verdict, returning
+// it for the result cache.
+func executeAsk(ctx context.Context, w http.ResponseWriter, cw *countingWriter, q *request, prep *amber.Prepared, tr *obs.Trace) (*cachedResult, error) {
+	endExec := tr.Span("execute")
+	val, err := prep.AskContext(ctx, &q.params.opts)
+	endExec()
+	if err != nil {
+		return nil, err
+	}
+	w.Header().Set("Content-Type", q.params.format.ContentType)
+	w.Header().Set("X-Cache", "miss")
+	if results.WriteBool(q.params.format, cw, val) != nil {
+		return nil, errClientGone
+	}
+	return &cachedResult{isBool: true, boolVal: val}, nil
+}
+
+// executeSelect streams a SELECT's rows to the client while the engine
+// runs. The loop interleaves engine work and row writes: the write
+// share is traced as "serialize", the rest as "execute". It returns the
+// rows for the result cache (nil once they outgrow MaxCacheRows).
+func (s *Server) executeSelect(ctx context.Context, w http.ResponseWriter, cw *countingWriter, q *request, prep *amber.Prepared, tr *obs.Trace) (*cachedResult, uint64, error) {
+	sw := q.params.format.New(cw)
+	w.Header().Set("Content-Type", q.params.format.ContentType)
 	w.Header().Set("X-Cache", "miss")
 
 	// The result header is written lazily — at the first row, or at
@@ -757,7 +822,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var rows uint64
 	var serialize time.Duration
 	loopStart := time.Now()
-	qerr := prep.QueryIterContext(ctx, &params.opts, func(b amber.Binding) bool {
+	err := prep.QueryIterContext(ctx, &q.params.opts, func(b amber.Binding) bool {
 		m := b.Map()
 		if collecting {
 			if len(collected) < s.cfg.MaxCacheRows {
@@ -767,69 +832,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		rowStart := time.Now()
-		if werr := begin(); werr != nil {
-			writeErr = werr
-			return false
+		if writeErr = begin(); writeErr == nil {
+			writeErr = sw.Row(m)
 		}
-		if werr := sw.Row(m); werr != nil {
-			writeErr = werr
+		if writeErr != nil {
 			return false
 		}
 		serialize += time.Since(rowStart)
 		rows++
-		meter.AddRows(1)
+		cw.meter.AddRows(1)
 		return true
 	})
-	// The loop interleaves engine work and row writes; attribute the
-	// write share to "serialize" and the rest to "execute".
 	tr.AddSpan("execute", time.Since(loopStart)-serialize)
-
-	switch {
-	case qerr == amber.ErrTimeout:
-		s.met.timeouts.Add(1)
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "timeout", rows)
-		if cw.n == 0 {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("query timed out after %s", params.opts.Timeout), reqID)
+	if err == nil && writeErr == nil {
+		endStart := time.Now()
+		if writeErr = begin(); writeErr == nil {
+			writeErr = sw.End()
 		}
-		return
-	case errors.Is(qerr, context.Canceled):
-		status, code, msg := s.cancelOutcome(ctx)
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, status, rows)
-		if code != 0 && cw.n == 0 {
-			writeError(w, code, msg, reqID)
-		}
-		return
-	case qerr != nil:
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "error", rows)
-		if cw.n == 0 {
-			writeError(w, http.StatusInternalServerError, qerr.Error(), reqID)
-		}
-		return
-	case writeErr != nil:
-		tr.AddSpan("serialize", serialize)
-		s.finishTrace(st, tr, "client_gone", rows)
-		return // client went away mid-stream; nothing useful to do
+		serialize += time.Since(endStart)
 	}
-	endStart := time.Now()
-	swErr := begin()
-	if swErr == nil {
-		swErr = sw.End()
-	}
-	serialize += time.Since(endStart)
 	tr.AddSpan("serialize", serialize)
-	if swErr != nil {
-		s.finishTrace(st, tr, "client_gone", rows)
-		return
+	switch {
+	case err != nil:
+		return nil, rows, err
+	case writeErr != nil: // client went away mid-stream
+		return nil, rows, errClientGone
+	case !collecting:
+		return nil, rows, nil
 	}
-	if collecting {
-		st.results.Put(key, &cachedResult{vars: vars, rows: collected})
-	}
-	s.finishTrace(st, tr, "ok", rows)
-	s.recordLatency(time.Since(start))
+	return &cachedResult{vars: vars, rows: collected}, rows, nil
 }
 
 // servedEpoch is the data version a read response advertises: the
@@ -880,52 +911,38 @@ func (s *Server) gateMinEpoch(r *http.Request, st *dbState) (*dbState, error) {
 // A follower never applies client updates: its state is defined entirely
 // by the primary's WAL, so it answers 421 Misdirected Request pointing
 // at the primary's endpoint instead.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, st *dbState, update, reqID string) {
+func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, q *request) {
 	if f := s.cfg.Follower; f != nil {
 		w.Header().Set("Location", f.PrimaryURL()+"/sparql")
 		writeError(w, http.StatusMisdirectedRequest,
-			"read-only replication follower; send updates to the primary at "+f.PrimaryURL(), reqID)
+			"read-only replication follower; send updates to the primary at "+f.PrimaryURL(), q.id)
 		return
 	}
-	if !s.acquire(r.Context()) {
-		s.met.rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("server saturated (%d executions in flight)", s.cfg.MaxConcurrent), reqID)
+	if !s.admit(w, r, q.id) {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.met.updates.Add(1)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
+	defer s.release()
+	s.updates.Inc()
 	// Updates register for visibility — GET /debug/queries lists them
 	// with their age — though the apply path runs to completion: an admin
 	// cancel marks the entry but cannot abort a mutation batch
 	// mid-commit.
-	_, cancelCause := context.WithCancelCause(r.Context())
-	defer cancelCause(nil)
-	s.inflight.Register(reqID, update, "update", r.RemoteAddr, st.db.Epoch(),
-		obs.NewResourceMeter(), nil, cancelCause)
-	defer s.inflight.Remove(reqID)
-	start := time.Now()
-	if err := st.db.UpdateOpts(update, &amber.UpdateOptions{AllowLoad: s.cfg.AllowLoad}); err != nil {
-		s.met.updateErrors.Add(1)
+	_, _, done := s.govern(r, q, "update", nil)
+	defer done()
+	if err := q.st.db.UpdateOpts(q.query, &amber.UpdateOptions{AllowLoad: s.cfg.AllowLoad}); err != nil {
+		s.updateErrors.Inc()
 		if errors.Is(err, amber.ErrDurability) {
 			// The request was fine; the write-ahead log failed (disk full,
 			// fsync error, or closed mid-reload). 503 tells the client to
 			// retry instead of dropping the write as malformed.
-			writeError(w, http.StatusServiceUnavailable, "update not durable: "+err.Error(), reqID)
+			writeError(w, http.StatusServiceUnavailable, "update not durable: "+err.Error(), q.id)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "invalid update: "+err.Error(), reqID)
+		writeError(w, http.StatusBadRequest, "invalid update: "+err.Error(), q.id)
 		return
 	}
-	d := time.Since(start)
-	if s.updateHist != nil {
-		s.updateHist.Observe(d.Seconds())
-	} else {
-		s.met.updateLat.record(d)
-	}
-	w.Header().Set("X-Epoch", strconv.FormatUint(st.db.Epoch(), 10))
+	s.updateHist.Observe(time.Since(q.start).Seconds())
+	w.Header().Set("X-Epoch", strconv.FormatUint(q.st.db.Epoch(), 10))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1129,7 +1146,7 @@ type GenerationSection struct {
 	// Updates counts mutation batches applied to this database;
 	// UpdatesPerSecond is that same counter averaged over server uptime
 	// (it resets with the database on a hot swap), and UpdateP99Millis
-	// the p99 update latency over the recent window.
+	// the p99 update latency since the server started.
 	Updates          uint64  `json:"updates"`
 	UpdatesPerSecond float64 `json:"updates_per_second"`
 	UpdateP99Millis  float64 `json:"update_p99_ms"`
@@ -1139,21 +1156,11 @@ type GenerationSection struct {
 	LastCompactionMillis float64 `json:"last_compaction_ms"`
 }
 
-// Stats snapshots the serving counters. Latency percentiles come from
-// the bucketed histograms (interpolated) or, with histograms disabled,
-// the sliding-window latencyRing.
+// Stats snapshots the serving counters: a view over the registry
+// instruments /metrics exposes. Latency percentiles are interpolated
+// from the bucketed latency histograms.
 func (s *Server) Stats() StatsResponse {
 	st := s.state.Load()
-	var p50, p99, up99 time.Duration
-	if s.queryHist != nil {
-		p50 = time.Duration(s.queryHist.Quantile(0.50) * float64(time.Second))
-		p99 = time.Duration(s.queryHist.Quantile(0.99) * float64(time.Second))
-		up99 = time.Duration(s.updateHist.Quantile(0.99) * float64(time.Second))
-	} else {
-		pcts := s.met.lat.percentiles(0.50, 0.99)
-		p50, p99 = pcts[0], pcts[1]
-		up99 = s.met.updateLat.percentiles(0.99)[0]
-	}
 	gen := st.db.Generation()
 	uptime := time.Since(s.start)
 	// Rate derives from the store's applied-batch counter (the same
@@ -1166,22 +1173,22 @@ func (s *Server) Stats() StatsResponse {
 	return StatsResponse{
 		Uptime:             uptime.Round(time.Millisecond).String(),
 		Generation:         st.gen,
-		Queries:            s.met.queries.Load(),
-		Updates:            s.met.updates.Load(),
-		UpdateErrors:       s.met.updateErrors.Load(),
-		CacheHits:          s.met.cacheHits.Load(),
-		CacheMisses:        s.met.cacheMisses.Load(),
-		Rejected:           s.met.rejected.Load(),
-		Timeouts:           s.met.timeouts.Load(),
-		Cancelled:          s.met.cancelled.Load(),
-		CancelledAdmin:     s.met.cancelledAdmin.Load(),
-		ResourceLimited:    s.met.resourceLimited.Load(),
-		ParseErrors:        s.met.parseErrors.Load(),
-		InFlight:           s.met.inFlight.Load(),
+		Queries:            s.queries.Value(),
+		Updates:            s.updates.Value(),
+		UpdateErrors:       s.updateErrors.Value(),
+		CacheHits:          s.cacheHits.Value(),
+		CacheMisses:        s.cacheMisses.Value(),
+		Rejected:           s.rejected.Value(),
+		Timeouts:           s.timeouts.Value(),
+		Cancelled:          s.cancelled.Value(),
+		CancelledAdmin:     s.cancelledAdmin.Value(),
+		ResourceLimited:    s.resourceLimited.Value(),
+		ParseErrors:        s.parseErrors.Value(),
+		InFlight:           int64(len(s.sem)),
 		ResultCacheEntries: st.results.Len(),
 		PlanCacheEntries:   st.plans.Len(),
-		P50Millis:          float64(p50) / float64(time.Millisecond),
-		P99Millis:          float64(p99) / float64(time.Millisecond),
+		P50Millis:          s.queryHist.Quantile(0.50) * 1000,
+		P99Millis:          s.queryHist.Quantile(0.99) * 1000,
 		Durability:         durabilitySection(st.db),
 		WritePath:          writePathSection(st.db),
 		Live: GenerationSection{
@@ -1191,7 +1198,7 @@ func (s *Server) Stats() StatsResponse {
 			DeltaTombstones:      gen.DeltaTombstones,
 			Updates:              gen.Updates,
 			UpdatesPerSecond:     ups,
-			UpdateP99Millis:      float64(up99) / float64(time.Millisecond),
+			UpdateP99Millis:      s.updateHist.Quantile(0.99) * 1000,
 			Compactions:          gen.Compactions,
 			LastCompactionMillis: float64(gen.LastCompaction) / float64(time.Millisecond),
 		},

@@ -358,6 +358,25 @@ func TestConcurrencyCapSheds503(t *testing.T) {
 	if st := s.Stats(); st.Rejected != 1 || st.InFlight != 2 {
 		t.Errorf("stats: rejected=%d in_flight=%d, want 1 and 2", st.Rejected, st.InFlight)
 	}
+	// Both held queries hold a slot and a governance entry. A finished
+	// request releases both just after its response, so poll.
+	awaitGauges := func(want float64) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			_, body := get(t, ts.URL+"/metrics", nil)
+			m := parsePrometheus(t, body)
+			slots, entries := m["amber_in_flight"], m["amber_inflight_queries"]
+			if slots == want && entries == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("amber_in_flight=%v amber_inflight_queries=%v, want %v", slots, entries, want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	awaitGauges(2)
 
 	release()
 	wg.Wait()
@@ -373,6 +392,7 @@ func TestConcurrencyCapSheds503(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("after release: status %d, want 200", resp.StatusCode)
 	}
+	awaitGauges(0)
 }
 
 func TestHotSwapKeepsInFlightQueries(t *testing.T) {
